@@ -1,11 +1,11 @@
 """Shared plumbing for the perf-smoke gate scripts.
 
-The three gates (check_scaling, check_simd, check_compact) share an exact
-contract with the CI perf-smoke job: read a bench JSON artifact (schema:
-bench/common/bench_json.h), SKIP with exit 0 when the measurement would be
-meaningless on this host, otherwise compare one extracted speedup against
-a threshold and print a single PASS/FAIL line. This module owns that
-contract so the gates stay behaviorally identical:
+The four gates (check_scaling, check_simd, check_compact, check_recovery)
+share an exact contract with the CI perf-smoke job: read a bench JSON
+artifact (schema: bench/common/bench_json.h), SKIP with exit 0 when the
+measurement would be meaningless on this host, otherwise compare one
+extracted ratio against a threshold and print a single PASS/FAIL line.
+This module owns that contract so the gates stay behaviorally identical:
 
   exit 0 — PASS or SKIP (a gate that fails on every small runner teaches
            people to ignore it)

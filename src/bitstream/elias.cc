@@ -6,13 +6,6 @@
 namespace sbf {
 namespace {
 
-// Writes the L-bit binary representation of n, MSB first.
-void WriteBinaryMsbFirst(uint64_t n, uint32_t bits, BitWriter* writer) {
-  for (uint32_t i = bits; i-- > 0;) {
-    writer->WriteBit((n >> i) & 1ull);
-  }
-}
-
 uint64_t ReadBinaryMsbFirst(uint32_t bits, BitReader* reader) {
   uint64_t v = 0;
   for (uint32_t i = 0; i < bits; ++i) {
@@ -26,8 +19,15 @@ uint64_t ReadBinaryMsbFirst(uint32_t bits, BitReader* reader) {
 void EliasGammaEncode(uint64_t n, BitWriter* writer) {
   SBF_DCHECK(n >= 1);
   const uint32_t len = FloorLog2(n) + 1;
-  writer->WriteZeros(len - 1);
-  WriteBinaryMsbFirst(n, len, writer);
+  // The stream is LSB-first, so n MSB-first is n bit-reversed into its low
+  // `len` bits; the codeword is one field write when it fits a word.
+  const uint64_t reversed = ReverseBits(n) >> (64 - len);
+  if (2 * len - 1 <= 64) {
+    writer->WriteBits(reversed << (len - 1), 2 * len - 1);
+  } else {
+    writer->WriteZeros(len - 1);
+    writer->WriteBits(reversed, len);
+  }
 }
 
 uint64_t EliasGammaDecode(BitReader* reader) {
@@ -49,9 +49,19 @@ uint32_t EliasGammaLength(uint64_t n) {
 void EliasDeltaEncode(uint64_t n, BitWriter* writer) {
   SBF_DCHECK(n >= 1);
   const uint32_t len = FloorLog2(n) + 1;
-  EliasGammaEncode(len, writer);
-  if (len > 1) {
-    WriteBinaryMsbFirst(n & LowMask(len - 1), len - 1, writer);
+  // gamma(len) and n's low len - 1 bits, both bit-reversed (as in
+  // EliasGammaEncode) and joined into one field write; two for a codeword
+  // longer than a word.
+  const uint32_t zeros = FloorLog2(len);
+  const uint32_t head = 2 * zeros + 1;
+  const uint32_t low = len - 1;
+  const uint64_t gamma = (ReverseBits(len) >> (63 - zeros)) << zeros;
+  const uint64_t body = low == 0 ? 0 : ReverseBits(n) >> (64 - low);
+  if (head + low <= 64) {
+    writer->WriteBits(gamma | body << head, head + low);
+  } else {
+    writer->WriteBits(gamma, head);
+    writer->WriteBits(body, low);
   }
 }
 

@@ -191,6 +191,7 @@ DeltaLogWriter::DeltaLogWriter(DeltaLogWriter&& other) noexcept
       offset_(other.offset_),
       sync_each_append_(other.sync_each_append_),
       wedged_(other.wedged_),
+      unsynced_(other.unsynced_),
       path_(std::move(other.path_)) {
   other.fd_ = -1;
 }
@@ -202,6 +203,7 @@ DeltaLogWriter& DeltaLogWriter::operator=(DeltaLogWriter&& other) noexcept {
     offset_ = other.offset_;
     sync_each_append_ = other.sync_each_append_;
     wedged_ = other.wedged_;
+    unsynced_ = other.unsynced_;
     path_ = std::move(other.path_);
     other.fd_ = -1;
   }
@@ -241,7 +243,16 @@ StatusOr<DeltaLogWriter> DeltaLogWriter::Resume(const std::string& path,
   if (fd < 0) return Status::DataLoss(Errno("open WAL", path));
   // Drop any torn tail so the next append starts at the last valid byte —
   // otherwise the garbage would mask the new records from a later scan.
-  if (::ftruncate(fd, static_cast<off_t>(resume_offset)) != 0) {
+  // A clean log is not truncated: even a same-size truncate updates the
+  // inode's times, which the close-time Sync would then have to journal.
+  struct stat st{};
+  if (::fstat(fd, &st) != 0) {
+    const Status status = Status::DataLoss(Errno("stat WAL", path));
+    ::close(fd);
+    return status;
+  }
+  const bool torn = static_cast<uint64_t>(st.st_size) != resume_offset;
+  if (torn && ::ftruncate(fd, static_cast<off_t>(resume_offset)) != 0) {
     const Status status = Status::DataLoss(Errno("truncate WAL", path));
     ::close(fd);
     return status;
@@ -256,6 +267,7 @@ StatusOr<DeltaLogWriter> DeltaLogWriter::Resume(const std::string& path,
   writer.path_ = path;
   writer.offset_ = resume_offset;
   writer.sync_each_append_ = sync_each_append;
+  writer.unsynced_ = torn;
   return writer;
 }
 
@@ -270,6 +282,7 @@ Status DeltaLogWriter::Append(const std::vector<uint8_t>& frame) {
   const bool short_write = fault::ShouldShortWrite(intended, &injected_cut);
   if (short_write) intended = injected_cut;
 
+  unsynced_ = true;
   size_t written = 0;
   while (written < intended) {
     const ssize_t n = ::write(fd_, frame.data() + written, intended - written);
@@ -304,6 +317,7 @@ Status DeltaLogWriter::Sync() {
     wedged_ = true;
     return Status::DataLoss(Errno("fsync WAL", path_));
   }
+  unsynced_ = false;
   return Status::Ok();
 }
 

@@ -135,7 +135,9 @@ class DeltaLogWriter {
                                          bool sync_each_append);
 
   // Opens an existing log for appending at `resume_offset` (the scanner's
-  // valid_bytes); bytes beyond it — a torn tail — are truncated away.
+  // valid_bytes); bytes beyond it — a torn tail — are truncated away. A
+  // log that ends at `resume_offset` is left untouched (no truncate, so
+  // nothing for a later Sync to write).
   static StatusOr<DeltaLogWriter> Resume(const std::string& path,
                                          uint64_t resume_offset,
                                          bool sync_each_append);
@@ -149,6 +151,9 @@ class DeltaLogWriter {
   Status Sync();
 
   [[nodiscard]] bool open() const noexcept { return fd_ >= 0; }
+  // Whether an append or a tail truncation happened since the last
+  // successful Sync.
+  [[nodiscard]] bool unsynced() const noexcept { return unsynced_; }
   [[nodiscard]] uint64_t bytes_written() const noexcept { return offset_; }
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
@@ -159,6 +164,7 @@ class DeltaLogWriter {
   uint64_t offset_ = 0;
   bool sync_each_append_ = false;
   bool wedged_ = false;
+  bool unsynced_ = false;
   std::string path_;
 };
 

@@ -272,11 +272,16 @@ StatusOr<RecoveryOutcome> RecoverStore(
               " (" + why + "); ";
   }
 
-  // Scan every log up front (retention keeps at most a handful). The scan
+  // Read and scan only the logs replay can use: wal-g with g >= the base
+  // checkpoint's generation. Older logs are superseded by that checkpoint,
+  // so they are never opened — damage to them cannot affect the verdict —
+  // and retention deletes them at the next checkpoint. Without a loadable
+  // checkpoint (replay_from == 0) every log is a candidate base. The scan
   // struct keeps the file bytes alive because the decoded header's
   // embedded-filter span points into them.
   std::map<uint64_t, ScannedWal> scans;
   for (const uint64_t g : ls.wals) {
+    if (g < replay_from) continue;
     ScannedWal sw;
     const Status read = io::ReadFileBytes(WalPath(dir, g), &sw.bytes);
     if (read.ok()) {
@@ -345,8 +350,9 @@ StatusOr<RecoveryOutcome> RecoverStore(
     }
   }
 
-  // Replay the surviving suffix in generation order. Logs below the base
-  // checkpoint's generation are already captured by it and are skipped.
+  // Replay the surviving suffix in generation order. A log-only rebuild
+  // may have based itself above a scannable log whose embedded filter was
+  // unusable; such logs are skipped.
   uint64_t replayed = 0;
   uint64_t max_sequence = 0;
   for (auto& [g, sw] : scans) {
@@ -453,9 +459,10 @@ DurableSbf::~DurableSbf() {
   cp_wake_.notify_all();
   if (checkpointer_.joinable()) checkpointer_.join();
   util::MutexLock lock(log_mu_);
-  if (wal_.open() && !wedged_ && !options_.sync_each_append) {
+  if (wal_.open() && !wedged_ && wal_.unsynced()) {
     // Best-effort flush of unsynced appends; with sync_each_append every
-    // acked record is already durable.
+    // acked record is already durable, and a store that appended nothing
+    // since its last sync (a reopen that only reads) pays no fsync.
     (void)wal_.Sync();
   }
   wal_.Close();

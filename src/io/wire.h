@@ -67,10 +67,20 @@ inline constexpr uint32_t kMagicWalHeader = FourCc('S', 'B', 'w', 'h');
 inline constexpr uint32_t kMagicWalRecord = FourCc('S', 'B', 'w', 'r');
 
 // CRC32C (Castagnoli, the polynomial hardware CRC instructions implement).
+// Runs the SSE4.2 `crc32` instruction when the CPU has it and portable
+// slicing-by-8 otherwise, chosen once per process; both produce the same
+// value, so frames are byte-identical on every host.
 uint32_t Crc32c(const uint8_t* data, size_t size);
 inline uint32_t Crc32c(ByteSpan bytes) {
   return Crc32c(bytes.data(), bytes.size());
 }
+
+// The two implementations Crc32c chooses between, exposed so tests can pin
+// them to each other. Crc32cHardware() is nullptr on CPUs (or non-x86
+// builds) without SSE4.2.
+using Crc32cFn = uint32_t (*)(const uint8_t* data, size_t size);
+Crc32cFn Crc32cHardware();
+uint32_t Crc32cPortable(const uint8_t* data, size_t size);
 
 // --- Writer ----------------------------------------------------------------
 

@@ -45,15 +45,17 @@ inline uint64_t SumWidthBytes(const uint8_t* p, size_t n) {
 }  // namespace
 
 CompactCounterVector::CompactCounterVector(size_t m, Options options)
-    : m_(m), options_(options) {
-  SBF_CHECK_MSG(m >= 1, "counter vector needs m >= 1");
+    : CompactCounterVector(std::vector<uint64_t>(m, 0), options) {}
+
+CompactCounterVector::CompactCounterVector(const std::vector<uint64_t>& values,
+                                           Options options)
+    : m_(values.size()), options_(options) {
+  SBF_CHECK_MSG(m_ >= 1, "counter vector needs m >= 1");
   SBF_CHECK_MSG(options_.group_size >= 1, "group size must be >= 1");
   SBF_CHECK_MSG(options_.slack_per_counter >= 0.0, "negative slack");
   num_groups_ = CeilDiv(m_, options_.group_size);
   samples_per_group_ = CeilDiv(options_.group_size, kSampleStride);
-  widths_.assign(m_ + kWidthPad, 0);
-  std::fill_n(widths_.begin(), m_, uint8_t{1});
-  LayoutFromValues(std::vector<uint64_t>(m_, 0));
+  LayoutFromValues(values);
 }
 
 size_t CompactCounterVector::NumItemsInGroup(size_t g) const {
@@ -156,9 +158,6 @@ bool CompactCounterVector::BorrowSlack(size_t g, size_t need) {
 void CompactCounterVector::Rebuild() {
   std::vector<uint64_t> values(m_);
   DecodeBlock(0, m_, values.data());
-  for (size_t i = 0; i < m_; ++i) {
-    widths_[i] = static_cast<uint8_t>(BitWidth(values[i]));
-  }
   LayoutFromValues(values);
   ++rebuilds_;
 }
@@ -166,13 +165,18 @@ void CompactCounterVector::Rebuild() {
 void CompactCounterVector::LayoutFromValues(
     const std::vector<uint64_t>& values) {
   const size_t slack = SlackBitsPerGroup(options_);
+  widths_.assign(m_ + kWidthPad, 0);
   group_start_.assign(num_groups_ + 1, 0);
   used_.assign(num_groups_, 0);
   for (size_t g = 0; g < num_groups_; ++g) {
     const size_t begin = g * options_.group_size;
     const size_t end = begin + NumItemsInGroup(g);
     size_t payload = 0;
-    for (size_t i = begin; i < end; ++i) payload += widths_[i];
+    for (size_t i = begin; i < end; ++i) {
+      const uint32_t width = BitWidth(values[i]);
+      widths_[i] = static_cast<uint8_t>(width);
+      payload += width;
+    }
     used_[g] = static_cast<uint32_t>(payload);
     group_start_[g + 1] = group_start_[g] + payload + slack;
   }
@@ -184,7 +188,8 @@ void CompactCounterVector::LayoutFromValues(
     const size_t begin = g * options_.group_size;
     const size_t end = begin + NumItemsInGroup(g);
     for (size_t i = begin; i < end; ++i) {
-      bits_.SetBits(pos, widths_[i], values[i]);
+      // The fresh array is all zeros, so zero counters need no write.
+      if (values[i] != 0) bits_.SetBits(pos, widths_[i], values[i]);
       pos += widths_[i];
     }
     RebuildSamples(g);
@@ -210,8 +215,6 @@ void CompactCounterVector::Increment(size_t i, uint64_t delta) {
 }
 
 void CompactCounterVector::Reset() {
-  widths_.assign(m_ + kWidthPad, 0);
-  std::fill_n(widths_.begin(), m_, uint8_t{1});
   LayoutFromValues(std::vector<uint64_t>(m_, 0));
 }
 
@@ -357,16 +360,13 @@ StatusOr<std::unique_ptr<CounterVector>> CompactCounterVector::Deserialize(
   Options options;
   options.group_size = static_cast<size_t>(group_size);
   options.slack_per_counter = slack;
-  auto cv =
-      std::make_unique<CompactCounterVector>(static_cast<size_t>(m), options);
-  Status status =
-      ReadCounterStream(&in, m, cv.get(), "compact counter vector");
+  auto values = ReadCounterStream(&in, m, "compact counter vector");
+  if (!values.ok()) return values.status();
+  Status status = in.ExpectEnd("compact counter vector");
   if (!status.ok()) return status;
-  status = in.ExpectEnd("compact counter vector");
-  if (!status.ok()) return status;
-  return std::unique_ptr<CounterVector>(std::move(cv));
+  return std::unique_ptr<CounterVector>(
+      new CompactCounterVector(values.value(), options));
 }
-
 
 Status CompactCounterVector::CheckInvariants() const {
   if (group_start_.size() != num_groups_ + 1 || used_.size() != num_groups_ ||

@@ -128,6 +128,10 @@ class CompactCounterVector final : public CounterVector {
   // never read past the allocation.
   static constexpr size_t kWidthPad = 8;
 
+  // Lays out values.size() counters holding `values` in one pass (the
+  // load path: no per-counter widening, no refresh).
+  CompactCounterVector(const std::vector<uint64_t>& values, Options options);
+
   size_t NumItemsInGroup(size_t g) const;
   size_t RegionBits(size_t g) const {
     return group_start_[g + 1] - group_start_[g];
@@ -140,6 +144,8 @@ class CompactCounterVector final : public CounterVector {
   // (no slack to the right), in which case the caller must Rebuild.
   bool BorrowSlack(size_t g, size_t need);
   void Rebuild();
+  // Tight widths from `values`, fresh slack in every group, payload and
+  // prefix-sum samples written in one pass.
   void LayoutFromValues(const std::vector<uint64_t>& values);
   // Recomputes group g's prefix-sum samples from widths_.
   void RebuildSamples(size_t g);

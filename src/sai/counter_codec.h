@@ -2,6 +2,7 @@
 #define SBF_SAI_COUNTER_CODEC_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "io/wire.h"
 #include "sai/counter_vector.h"
@@ -10,20 +11,23 @@ namespace sbf {
 
 // Shared value-stream codec for the compact counter backings' wire frames:
 // each counter value v is Elias-delta coded as code(v + 1) (delta cannot
-// encode zero), the bit stream is padded to whole 64-bit words, and the
-// wire carries {varint bit_count, words}. This is the paper's "filters are
-// compressed messages" representation (Section 4.7.1): a mostly-zero
-// counter vector costs about one bit per counter.
+// encode zero; the saturated 2^64 - 1 takes delta's codeword of 2^64),
+// the bit stream is padded to whole 64-bit words, and the wire carries
+// {varint bit_count, words}. This is the paper's "filters are compressed
+// messages" representation (Section 4.7.1): a mostly-zero counter vector
+// costs about one bit per counter.
 
 // Appends the stream of all `cv` counters to `out`.
 void WriteCounterStream(const CounterVector& cv, wire::Writer* out);
 
-// Decodes exactly `m` counters from `in` into counters [0, m) of `cv`
-// (which must already have size >= m). Rejects malformed codewords,
-// truncated streams and trailing garbage with a clean DataLoss status.
-// `what` names the enclosing structure in error messages.
-Status ReadCounterStream(wire::Reader* in, uint64_t m, CounterVector* cv,
-                         const char* what);
+// Decodes exactly `m` counter values from `in`. The backings lay their
+// storage out once from the returned values instead of growing it counter
+// by counter. Rejects malformed codewords, truncated streams and trailing
+// garbage with a clean DataLoss status. `what` names the enclosing
+// structure in error messages.
+StatusOr<std::vector<uint64_t>> ReadCounterStream(wire::Reader* in,
+                                                  uint64_t m,
+                                                  const char* what);
 
 }  // namespace sbf
 

@@ -17,14 +17,21 @@ constexpr size_t kMaxGroupSize = 256;
 }  // namespace
 
 SerialScanCounterVector::SerialScanCounterVector(size_t m, Options options)
-    : m_(m), options_(std::move(options)), code_(options_.step_widths) {
-  SBF_CHECK_MSG(m >= 1, "counter vector needs m >= 1");
+    : SerialScanCounterVector(std::vector<uint64_t>(m, 0),
+                              std::move(options)) {}
+
+SerialScanCounterVector::SerialScanCounterVector(std::vector<uint64_t> values,
+                                                 Options options)
+    : m_(values.size()),
+      options_(std::move(options)),
+      code_(options_.step_widths) {
+  SBF_CHECK_MSG(m_ >= 1, "counter vector needs m >= 1");
   SBF_CHECK_MSG(
       options_.group_size >= 1 && options_.group_size <= kMaxGroupSize,
       "group size out of range");
   num_groups_ = CeilDiv(m_, options_.group_size);
-  Rebuild(std::vector<uint64_t>(m_, 0));
-  rebuilds_ = 0;  // the constructor's initial layout is not a refresh event
+  // The initial layout is not a refresh event: Rebuild does not count.
+  Rebuild(std::move(values));
 }
 
 size_t SerialScanCounterVector::NumItemsInGroup(size_t g) const {
@@ -289,14 +296,12 @@ StatusOr<std::unique_ptr<CounterVector>> SerialScanCounterVector::Deserialize(
   if (m > in.remaining() * 8) {
     return Status::DataLoss("serial-scan counter vector truncated");
   }
-  auto cv = std::make_unique<SerialScanCounterVector>(static_cast<size_t>(m),
-                                                      options);
-  Status status =
-      ReadCounterStream(&in, m, cv.get(), "serial-scan counter vector");
+  auto values = ReadCounterStream(&in, m, "serial-scan counter vector");
+  if (!values.ok()) return values.status();
+  Status status = in.ExpectEnd("serial-scan counter vector");
   if (!status.ok()) return status;
-  status = in.ExpectEnd("serial-scan counter vector");
-  if (!status.ok()) return status;
-  return std::unique_ptr<CounterVector>(std::move(cv));
+  return std::unique_ptr<CounterVector>(new SerialScanCounterVector(
+      std::move(values).value(), std::move(options)));
 }
 
 

@@ -91,6 +91,10 @@ class SerialScanCounterVector final : public CounterVector {
   size_t rebuild_count() const { return rebuilds_; }
 
  private:
+  // Lays out values.size() counters holding `values` in one pass (the
+  // load path).
+  SerialScanCounterVector(std::vector<uint64_t> values, Options options);
+
   size_t NumItemsInGroup(size_t g) const;
   size_t RegionBits(size_t g) const {
     return group_start_[g + 1] - group_start_[g];

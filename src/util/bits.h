@@ -29,6 +29,16 @@ inline uint64_t LowMask(uint32_t n) {
   return n >= 64 ? ~0ull : ((1ull << n) - 1);
 }
 
+// `v` with its bit order reversed (bit 0 <-> bit 63). The bit streams are
+// LSB-first while Elias codes write their fields MSB-first, so a reversed
+// field can be written or read with one multi-bit access.
+inline uint64_t ReverseBits(uint64_t v) {
+  v = ((v >> 1) & 0x5555555555555555ull) | ((v & 0x5555555555555555ull) << 1);
+  v = ((v >> 2) & 0x3333333333333333ull) | ((v & 0x3333333333333333ull) << 2);
+  v = ((v >> 4) & 0x0F0F0F0F0F0F0F0Full) | ((v & 0x0F0F0F0F0F0F0F0Full) << 4);
+  return __builtin_bswap64(v);
+}
+
 // Ceiling division for unsigned operands.
 inline uint64_t CeilDiv(uint64_t a, uint64_t b) { return (a + b - 1) / b; }
 

@@ -117,6 +117,58 @@ TEST(EliasDeltaTest, AsymptoticallySmallerThanGamma) {
   EXPECT_LT(EliasDeltaLength(1ull << 40), EliasGammaLength(1ull << 40));
 }
 
+// The encoders write whole bit-reversed fields; pin them to the codes'
+// definitions written one bit at a time, for every bit length of n
+// (covering both the one-write and the two-write codewords) and every
+// alignment of the codeword within a word.
+TEST(EliasEncodeTest, MatchesBitwiseDefinition) {
+  auto msb_first = [](uint64_t x, uint32_t bits, BitWriter* w) {
+    for (uint32_t i = bits; i-- > 0;) w->WriteBit((x >> i) & 1);
+  };
+  auto gamma = [&](uint64_t n, BitWriter* w) {
+    const uint32_t len = FloorLog2(n) + 1;
+    w->WriteZeros(len - 1);
+    msb_first(n, len, w);
+  };
+  auto delta = [&](uint64_t n, BitWriter* w) {
+    const uint32_t len = FloorLog2(n) + 1;
+    gamma(len, w);
+    msb_first(n, len - 1, w);
+  };
+  Xoshiro256 rng(14);
+  for (uint32_t len = 1; len <= 64; ++len) {
+    const uint64_t low = uint64_t{1} << (len - 1);
+    const uint64_t mid = low | (rng.Next() & (low - 1));
+    for (const uint64_t n : {low, low | (low - 1), mid}) {
+      for (const bool is_delta : {false, true}) {
+        const uint32_t offset = static_cast<uint32_t>(rng.UniformInt(64));
+        BitVector got;
+        BitVector want;
+        BitWriter got_writer(&got);
+        BitWriter want_writer(&want);
+        got_writer.WriteBits(~0ull, offset);
+        want_writer.WriteBits(~0ull, offset);
+        if (is_delta) {
+          EliasDeltaEncode(n, &got_writer);
+          delta(n, &want_writer);
+        } else {
+          EliasGammaEncode(n, &got_writer);
+          gamma(n, &want_writer);
+        }
+        got_writer.WriteBit(true);
+        want_writer.WriteBit(true);
+        got_writer.Finish();
+        want_writer.Finish();
+        ASSERT_EQ(got.size_bits(), want.size_bits()) << n;
+        for (size_t i = 0; i < want.size_bits(); ++i) {
+          ASSERT_EQ(got.GetBit(i), want.GetBit(i))
+              << (is_delta ? "delta(" : "gamma(") << n << ") bit " << i;
+        }
+      }
+    }
+  }
+}
+
 // --- steps code --------------------------------------------------------------
 
 TEST(StepsCodeTest, PaperExampleConfiguration) {

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <unordered_map>
 #include <vector>
+
+#include "bitstream/bit_writer.h"
+#include "bitstream/elias.h"
+#include "io/wire.h"
 
 #include "sai/compact_counter_vector.h"
 #include "sai/counter_vector.h"
@@ -388,6 +393,256 @@ TEST(CrossBackingTest, AllBackingsAgreeUnderIdenticalOps) {
     const uint64_t expected = vectors[0]->Get(i);
     for (auto& v : vectors) {
       ASSERT_EQ(v->Get(i), expected) << v->Name() << " at " << i;
+    }
+  }
+}
+
+// --- bulk load: Deserialize lays the backing out once from decoded values --
+
+// Values that stress the load path: mostly small counters, exact zeros and
+// the saturated 2^64 - 1, and wide counters placed on both sides of every
+// group boundary, where a per-counter widening load would shift group
+// tails and borrow slack across groups.
+std::vector<uint64_t> BulkLoadValues(size_t m, size_t group_size,
+                                     uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<uint64_t> values(m);
+  for (uint64_t& v : values) {
+    switch (rng.UniformInt(8)) {
+      case 0:
+        v = 0;
+        break;
+      case 1:
+        v = ~uint64_t{0};
+        break;
+      case 2:
+        v = rng.Next() >> rng.UniformInt(64);
+        break;
+      default:
+        v = rng.UniformInt(16);
+    }
+  }
+  for (size_t g = group_size; g < m; g += group_size) {
+    values[g - 1] = (uint64_t{1} << 40) + rng.UniformInt(1 << 20);
+    values[g] = rng.Next() | (uint64_t{1} << 63);
+  }
+  values[0] = ~uint64_t{0};
+  values[m - 1] = 0;
+  return values;
+}
+
+// Loads `source`'s frame and checks the loaded backing against `values`.
+void ExpectBulkLoadRoundTrip(
+    const CounterVector& source, const std::vector<uint64_t>& values,
+    StatusOr<std::unique_ptr<CounterVector>> (*deserialize)(wire::ByteSpan)) {
+  const std::vector<uint8_t> bytes = source.Serialize();
+  auto loaded = deserialize(bytes);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  const CounterVector& cv = *loaded.value();
+  ASSERT_EQ(cv.size(), values.size());
+  std::vector<uint64_t> got(values.size());
+  cv.DecodeBlock(0, got.size(), got.data());
+  EXPECT_EQ(got, values);
+  for (size_t i = 0; i < values.size(); ++i) {
+    ASSERT_EQ(cv.Get(i), values[i]) << "counter " << i;
+  }
+  EXPECT_TRUE(cv.CheckInvariants().ok()) << cv.CheckInvariants().message();
+  EXPECT_EQ(cv.Serialize(), bytes);
+}
+
+TEST(BulkLoadTest, CompactLoadsValuesWithoutRebuilds) {
+  for (const size_t group_size : {size_t{1}, size_t{7}, size_t{32}}) {
+    for (const size_t m : {size_t{1}, size_t{33}, size_t{1000}}) {
+      SCOPED_TRACE(testing::Message() << "group_size " << group_size
+                                      << " m " << m);
+      const std::vector<uint64_t> values =
+          BulkLoadValues(m, group_size, 17 + m + group_size);
+      CompactCounterVector::Options options;
+      options.group_size = group_size;
+      CompactCounterVector source(m, options);
+      source.EncodeBlock(0, m, values.data());
+      ExpectBulkLoadRoundTrip(source, values,
+                              &CompactCounterVector::Deserialize);
+      auto loaded =
+          CompactCounterVector::Deserialize(source.Serialize()).value();
+      const auto& compact = dynamic_cast<const CompactCounterVector&>(*loaded);
+      EXPECT_EQ(compact.rebuild_count(), 0u);
+      EXPECT_EQ(compact.pushed_bits_total(), 0u);
+    }
+  }
+}
+
+TEST(BulkLoadTest, SerialScanLoadsValues) {
+  for (const size_t group_size : {size_t{1}, size_t{7}, size_t{16}}) {
+    for (const size_t m : {size_t{1}, size_t{33}, size_t{1000}}) {
+      SCOPED_TRACE(testing::Message() << "group_size " << group_size
+                                      << " m " << m);
+      const std::vector<uint64_t> values =
+          BulkLoadValues(m, group_size, 29 + m + group_size);
+      SerialScanCounterVector::Options options;
+      options.group_size = group_size;
+      SerialScanCounterVector source(m, options);
+      source.EncodeBlock(0, m, values.data());
+      ExpectBulkLoadRoundTrip(source, values,
+                              &SerialScanCounterVector::Deserialize);
+      auto loaded =
+          SerialScanCounterVector::Deserialize(source.Serialize()).value();
+      EXPECT_EQ(
+          dynamic_cast<const SerialScanCounterVector&>(*loaded).rebuild_count(),
+          0u);
+    }
+  }
+}
+
+// A compact 'SBcc' frame around a hand-made counter stream.
+std::vector<uint8_t> CompactFrame(uint64_t m, const BitVector& stream) {
+  wire::Writer payload;
+  payload.PutVarint(m);
+  payload.PutVarint(32);
+  payload.PutU64(std::bit_cast<uint64_t>(0.5));
+  payload.PutVarint(stream.size_bits());
+  payload.PutWords(stream.words(), CeilDiv(stream.size_bits(), 64));
+  return wire::SealFrame(wire::kMagicCompactCounters, wire::kFormatVersion,
+                         std::move(payload));
+}
+
+// Bit-at-a-time reference for the counter-stream rules: Elias delta of
+// v + 1, gamma prefix of at most 6 zeros, length at most 64 except the
+// all-zero-body length-65 codeword of 2^64 (the saturated counter), bits
+// past the stream read as ones, no codeword may end past the stream and
+// no bits may trail the last one.
+bool ReferenceDecode(const BitVector& stream, uint64_t m,
+                     std::vector<uint64_t>* out) {
+  const uint64_t n = stream.size_bits();
+  auto bit = [&](uint64_t pos) { return pos >= n || stream.GetBit(pos); };
+  uint64_t pos = 0;
+  out->clear();
+  for (uint64_t i = 0; i < m; ++i) {
+    if (pos >= n) return false;
+    uint32_t zeros = 0;
+    while (!bit(pos++)) {
+      if (++zeros > 6) return false;
+    }
+    uint64_t len = 1;
+    for (uint32_t j = 0; j < zeros; ++j) len = (len << 1) | bit(pos++);
+    if (len > 65) return false;
+    uint64_t value = 1;
+    bool body_zero = true;
+    for (uint64_t j = 1; j < len; ++j) {
+      const bool b = bit(pos++);
+      body_zero = body_zero && !b;
+      value = (value << 1) | b;
+    }
+    if (len == 65 && !body_zero) return false;
+    if (pos > n) return false;
+    out->push_back(len == 65 ? ~uint64_t{0} : value - 1);
+  }
+  return pos == n;
+}
+
+// The counter stream written bit by bit, independently of the bitstream
+// layer's Elias encoders: v as delta(n) for n = v + 1 (gamma of n's bit
+// length L, then n's low L - 1 bits, each field MSB-first), and the
+// saturated 2^64 - 1 as delta(2^64) = gamma(65) plus 64 zero bits.
+BitVector ReferenceStream(const std::vector<uint64_t>& values) {
+  BitVector stream;
+  BitWriter writer(&stream);
+  auto msb_first = [&writer](uint64_t x, uint32_t bits) {
+    for (uint32_t i = bits; i-- > 0;) writer.WriteBit((x >> i) & 1);
+  };
+  for (const uint64_t v : values) {
+    const bool saturated = v == ~uint64_t{0};
+    const auto len =
+        saturated ? 65u : static_cast<uint32_t>(std::bit_width(v + 1));
+    const auto len_bits = static_cast<uint32_t>(std::bit_width(len));
+    writer.WriteZeros(len_bits - 1);
+    msb_first(len, len_bits);
+    if (saturated) {
+      writer.WriteZeros(64);
+    } else {
+      msb_first(v + 1, len - 1);
+    }
+  }
+  writer.Finish();
+  return stream;
+}
+
+TEST(CounterStreamTest, SaturatedCounterTakesTheLength65Codeword) {
+  const std::vector<uint64_t> values = {~uint64_t{0}, 2};
+  auto loaded = CompactCounterVector::Deserialize(
+      CompactFrame(2, ReferenceStream(values)));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  EXPECT_EQ(loaded.value()->Get(0), ~uint64_t{0});
+  EXPECT_EQ(loaded.value()->Get(1), 2u);
+}
+
+TEST(CounterStreamTest, SerializeMatchesEliasReference) {
+  const std::vector<uint64_t> values = BulkLoadValues(777, 32, 5);
+  CompactCounterVector source(values.size());
+  source.EncodeBlock(0, values.size(), values.data());
+  EXPECT_EQ(source.Serialize(),
+            CompactFrame(values.size(), ReferenceStream(values)));
+}
+
+TEST(CounterStreamTest, RejectsCodewordsNoEncoderEmits) {
+  auto build = [](auto&& write) {
+    BitVector stream;
+    BitWriter writer(&stream);
+    write(writer);
+    writer.Finish();
+    return stream;
+  };
+  const BitVector cases[] = {
+      build([](BitWriter& w) { w.WriteZeros(7); w.WriteBits(1, 1); }),
+      build([](BitWriter& w) { EliasGammaEncode(66, &w); w.WriteZeros(65); }),
+      build([](BitWriter& w) {
+        EliasGammaEncode(65, &w);
+        w.WriteBits(1, 1);
+        w.WriteZeros(63);
+      }),
+      build([](BitWriter& w) { EliasGammaEncode(65, &w); w.WriteZeros(63); }),
+      build([](BitWriter& w) { EliasDeltaEncode(9, &w); w.WriteZeros(1); }),
+  };
+  for (const BitVector& stream : cases) {
+    EXPECT_FALSE(
+        CompactCounterVector::Deserialize(CompactFrame(1, stream)).ok())
+        << stream.size_bits() << "-bit stream";
+  }
+}
+
+// The word-window decoder against the bit-at-a-time rules, on valid
+// streams and on streams with flipped bits and cut lengths.
+TEST(CounterStreamTest, WindowDecoderMatchesBitwiseReference) {
+  Xoshiro256 rng(2024);
+  for (int iter = 0; iter < 3000; ++iter) {
+    const uint64_t m = rng.UniformInt(40) + 1;
+    std::vector<uint64_t> values(m);
+    for (uint64_t& v : values) {
+      v = rng.UniformInt(10) == 0 ? ~uint64_t{0}
+                                  : rng.Next() >> rng.UniformInt(64);
+    }
+    BitVector stream = ReferenceStream(values);
+    if (iter % 3 != 0) {
+      for (int f = 0; f < 1 + iter % 4; ++f) {
+        const uint64_t pos = rng.UniformInt(stream.size_bits());
+        stream.SetBit(pos, !stream.GetBit(pos));
+      }
+    }
+    if (iter % 5 == 0 && stream.size_bits() > 1) {
+      stream.Resize(stream.size_bits() - 1 - rng.UniformInt(8) %
+                                                 (stream.size_bits() - 1));
+    }
+    const uint64_t claimed = iter % 7 == 0 ? m + 1 : m;
+    std::vector<uint64_t> want;
+    const bool want_ok = ReferenceDecode(stream, claimed, &want);
+    auto loaded =
+        CompactCounterVector::Deserialize(CompactFrame(claimed, stream));
+    ASSERT_EQ(loaded.ok(), want_ok)
+        << "iter " << iter << ": "
+        << (loaded.ok() ? "accepted" : loaded.status().message());
+    if (!want_ok) continue;
+    for (uint64_t i = 0; i < claimed; ++i) {
+      ASSERT_EQ(loaded.value()->Get(i), want[i]) << "iter " << iter;
     }
   }
 }

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -304,6 +305,55 @@ TEST_F(CrashRecoveryTest, ManuallyTruncatedTailDropsOnlyLastRecord) {
   }
 }
 
+// A read-only reopen must leave a clean log untouched: no truncate (which
+// would update the inode and give the close-time fsync something to write)
+// and nothing unsynced. A torn tail is still cut, and left to be synced.
+TEST_F(CrashRecoveryTest, ResumeTruncatesOnlyATornTail) {
+  ScopedStoreDir dir;
+  const DurableOptions options = MakeOptions(CounterBacking::kCompact);
+  const std::string path = WalPath(dir.path(), 0);
+  uint64_t valid = 0;
+  {
+    auto created = io::DeltaLogWriter::Create(
+        path, 0, ConcurrentSbf(options.filter).Serialize(), false);
+    ASSERT_TRUE(created.ok()) << created.status().message();
+    io::DeltaLogWriter log = std::move(created).value();
+    EXPECT_FALSE(log.unsynced());
+    const auto keys = KeyRange(0, 16);
+    ASSERT_TRUE(
+        log.Append(io::EncodeWalDeltaBatch(1, false, 1, keys.data(), 16)).ok());
+    EXPECT_TRUE(log.unsynced());
+    ASSERT_TRUE(log.Sync().ok());
+    EXPECT_FALSE(log.unsynced());
+    valid = log.bytes_written();
+  }
+  struct stat before{};
+  ASSERT_EQ(::stat(path.c_str(), &before), 0);
+  ::usleep(20000);  // past the filesystem's timestamp granularity
+  {
+    auto resumed = io::DeltaLogWriter::Resume(path, valid, false);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().message();
+    EXPECT_FALSE(resumed.value().unsynced());
+  }
+  struct stat after{};
+  ASSERT_EQ(::stat(path.c_str(), &after), 0);
+  EXPECT_EQ(static_cast<uint64_t>(after.st_size), valid);
+  EXPECT_EQ(after.st_mtim.tv_sec, before.st_mtim.tv_sec);
+  EXPECT_EQ(after.st_mtim.tv_nsec, before.st_mtim.tv_nsec);
+
+  FILE* f = std::fopen(path.c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  std::fputs("torn!", f);
+  std::fclose(f);
+  {
+    auto resumed = io::DeltaLogWriter::Resume(path, valid, false);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().message();
+    EXPECT_TRUE(resumed.value().unsynced());
+  }
+  ASSERT_EQ(::stat(path.c_str(), &after), 0);
+  EXPECT_EQ(static_cast<uint64_t>(after.st_size), valid);
+}
+
 TEST_F(CrashRecoveryTest, BitFlippedTailRecordIsCleanEndOfLog) {
   ScopedStoreDir dir;
   Scenario s(CounterBacking::kCompact);
@@ -360,6 +410,75 @@ TEST_F(CrashRecoveryTest, CorruptCheckpointQuarantinesAndFallsBack) {
                        F_OK),
               0);
     EXPECT_NE(::access(CheckpointPath(dir.path(), 2).c_str(), F_OK), 0);
+  }
+}
+
+TEST_F(CrashRecoveryTest, CorruptSupersededLogIsNeverOpened) {
+  for (const CounterBacking backing : kBackings) {
+    ScopedStoreDir dir;
+    Scenario s(backing);
+    {
+      StorePtr store = MustOpen(dir.path(), s.options);
+      ASSERT_NE(store, nullptr);
+      const auto a = KeyRange(0, 100);
+      ASSERT_TRUE(store->InsertBatch(a.data(), a.size(), 2).ok());
+      s.Ack(false, a, 2);
+      ASSERT_TRUE(store->Checkpoint().ok());
+      const auto b = KeyRange(100, 50);
+      ASSERT_TRUE(store->InsertBatch(b.data(), b.size(), 1).ok());
+      s.Ack(false, b, 1);
+    }
+    // wal-0 is superseded by the intact checkpoint-1: recovery reads only
+    // the checkpoint and wal-1, so a destroyed wal-0 header changes
+    // nothing — no quarantine, no verdict downgrade, and the file stays
+    // where retention will delete it at the next checkpoint.
+    FlipBitAt(WalPath(dir.path(), 0), 25);  // inside the header frame
+    StorePtr reopened = MustOpen(dir.path(), s.options);
+    ASSERT_NE(reopened, nullptr);
+    const DurabilityStats stats = reopened->Stats();
+    EXPECT_EQ(stats.recovery, RecoveryVerdict::kClean);
+    EXPECT_EQ(stats.quarantined_checkpoints, 0u);
+    EXPECT_EQ(stats.replayed_records, 1u);
+    s.ExpectMatches(*reopened, "corrupt superseded log");
+    EXPECT_EQ(::access(WalPath(dir.path(), 0).c_str(), F_OK), 0);
+    EXPECT_NE(
+        ::access((WalPath(dir.path(), 0) + ".quarantined").c_str(), F_OK), 0);
+  }
+}
+
+TEST_F(CrashRecoveryTest, FallbackCheckpointReplaysItsLogAgain) {
+  for (const CounterBacking backing : kBackings) {
+    ScopedStoreDir dir;
+    Scenario s(backing);
+    {
+      StorePtr store = MustOpen(dir.path(), s.options);
+      ASSERT_NE(store, nullptr);
+      const auto a = KeyRange(0, 80);
+      ASSERT_TRUE(store->InsertBatch(a.data(), a.size(), 1).ok());
+      s.Ack(false, a, 1);
+      ASSERT_TRUE(store->Checkpoint().ok());
+      const auto b = KeyRange(80, 70);
+      ASSERT_TRUE(store->InsertBatch(b.data(), b.size(), 3).ok());
+      s.Ack(false, b, 3);
+      ASSERT_TRUE(store->Remove(5, 1).ok());
+      s.Ack(true, {5}, 1);
+      ASSERT_TRUE(store->Checkpoint().ok());
+      const auto c = KeyRange(150, 20);
+      ASSERT_TRUE(store->InsertBatch(c.data(), c.size(), 2).ok());
+      s.Ack(false, c, 2);
+    }
+    // With checkpoint-2 gone, wal-1 is no longer superseded: recovery
+    // bases on checkpoint-1 and must read wal-1 (two deltas and the seal)
+    // before wal-2 (one delta).
+    FlipBitAt(CheckpointPath(dir.path(), 2), -8);
+    StorePtr reopened = MustOpen(dir.path(), s.options);
+    ASSERT_NE(reopened, nullptr);
+    const DurabilityStats stats = reopened->Stats();
+    EXPECT_EQ(stats.recovery, RecoveryVerdict::kQuarantined);
+    EXPECT_EQ(stats.quarantined_checkpoints, 1u);
+    EXPECT_EQ(stats.replayed_records, 4u);
+    EXPECT_EQ(reopened->generation(), 2u);
+    s.ExpectMatches(*reopened, "fallback replays wal-1");
   }
 }
 
