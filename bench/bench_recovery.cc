@@ -7,19 +7,25 @@
 // short tail behind 4k and 64k records of history: against the long
 // uncheckpointed log it is the argument for the size-triggered background
 // checkpointer, and against each other it shows that recovery cost does
-// not depend on history the checkpoint already covers.
+// not depend on history the checkpoint already covers. The last row
+// checkpoints a large compact store while a writer keeps appending, and
+// reports how much of each checkpoint held the log mutex (stalling the
+// writer).
 //
 // Emits BENCH_recovery.json. Wall-clock file I/O is never gated (shared
-// runners' disks are noisy); CI gates only the history-independence ratio
-// of the two checkpointed rows (scripts/check_recovery.py). EXPERIMENTS.md
-// quotes a reference transcript.
+// runners' disks are noisy); CI gates the history-independence ratio of
+// the two checkpointed rows and the blocked share of the loaded
+// checkpoints (scripts/check_recovery.py). EXPERIMENTS.md quotes a
+// reference transcript.
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/bench_json.h"
@@ -178,6 +184,59 @@ int main(int argc, char** argv) {
              {"recovery_max_ms", ms.back()}},
             median * 1e6 / static_cast<double>(kTail),
             static_cast<double>(kTail) / median / 1e3);
+  }
+
+  // Checkpoints under load: a writer appends 64-key batches to a compact
+  // m=2^22 store (the perfbench ingest shape) while the main thread
+  // checkpoints. Only the snapshot and the log rotation hold the log
+  // mutex, so the blocked share of a checkpoint's wall time stays small;
+  // check_recovery.py gates it. The first checkpoint, which also builds
+  // the empty filter every later log header embeds, is not counted.
+  {
+    ScopedDir dir;
+    DurableOptions options = MakeOptions();
+    options.filter.m = 1 << 22;
+    const int checkpoints = small ? 3 : 8;
+    auto opened = DurableSbf::Open(dir.path(), options);
+    if (!opened.ok()) std::abort();
+    DurableSbf& store = *opened.value();
+    WriteLog(store, 2000, 64);
+    if (!store.Checkpoint().ok()) std::abort();
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> appended{0};
+    std::thread writer([&] {
+      std::vector<uint64_t> keys(64);
+      for (uint64_t r = 0; !stop.load(std::memory_order_relaxed); ++r) {
+        for (uint64_t i = 0; i < keys.size(); ++i) {
+          keys[i] = (r * keys.size() + i) * 2654435761u % 1000003;
+        }
+        if (!store.InsertBatch(keys.data(), keys.size()).ok()) std::abort();
+        appended.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    const double blocked_before = store.Stats().checkpoint_blocked_ms;
+    const uint64_t appended_before = appended.load();
+    double total_ms = 0.0;
+    for (int c = 0; c < checkpoints; ++c) {
+      Timer timer;
+      if (!store.Checkpoint().ok()) std::abort();
+      total_ms += timer.ElapsedSeconds() * 1e3;
+    }
+    const uint64_t batches = appended.load() - appended_before;
+    stop.store(true);
+    writer.join();
+    const double blocked_ms =
+        store.Stats().checkpoint_blocked_ms - blocked_before;
+    out.Add("checkpoint_under_load",
+            {{"m", options.filter.m},
+             {"batch", 64},
+             {"checkpoints", checkpoints},
+             {"checkpoint_ms", total_ms / checkpoints},
+             {"blocked_ms", blocked_ms / checkpoints},
+             {"blocked_ratio", blocked_ms / total_ms},
+             {"writer_batches", batches}},
+            total_ms * 1e6 / checkpoints,
+            static_cast<double>(batches) / (total_ms * 1e3));
   }
 
   return out.WriteFile() ? 0 : 1;

@@ -1183,14 +1183,27 @@ StatusOr<bool> ConcurrentSbf::ExpandIfDegraded() {
 }
 
 std::vector<uint8_t> ConcurrentSbf::Serialize() const {
+  return TakeSnapshot().Encode();
+}
+
+ConcurrentSbf::Snapshot ConcurrentSbf::TakeSnapshot() const {
   const_cast<ConcurrentSbf*>(this)->Flush();
   SBF_AUDIT_INVARIANTS(*this);
-  wire::Writer payload;
-  payload.PutVarint(options_.num_shards);
-  payload.PutVarint(options_.m);
-  payload.PutU64(options_.seed);
+  Snapshot snap{options_, {}};
+  snap.shards.reserve(options_.num_shards);
   for (uint32_t s = 0; s < options_.num_shards; ++s) {
-    payload.PutFrame(SnapshotShard(s).Serialize());
+    snap.shards.push_back(SnapshotShard(s));
+  }
+  return snap;
+}
+
+std::vector<uint8_t> ConcurrentSbf::Snapshot::Encode() const {
+  wire::Writer payload;
+  payload.PutVarint(options.num_shards);
+  payload.PutVarint(options.m);
+  payload.PutU64(options.seed);
+  for (const SpectralBloomFilter& shard : shards) {
+    payload.PutFrame(shard.Serialize());
   }
   return wire::SealFrame(wire::kMagicShardedSbf, wire::kFormatVersion,
                          std::move(payload));

@@ -147,6 +147,17 @@ class ConcurrentSbf final : public FrequencyFilter {
   [[nodiscard]] std::vector<uint8_t> Serialize() const override;
   static StatusOr<ConcurrentSbf> Deserialize(wire::ByteSpan bytes);
 
+  // Serialize() in two steps, so a caller can take the copy under its own
+  // lock and pay for the encoding outside it: TakeSnapshot() drains the
+  // delta buffers and copies every shard (the cheap part), and Encode()
+  // writes exactly the bytes Serialize() would have written for that state.
+  struct Snapshot {
+    ConcurrentSbfOptions options;
+    std::vector<SpectralBloomFilter> shards;
+    [[nodiscard]] std::vector<uint8_t> Encode() const;
+  };
+  [[nodiscard]] Snapshot TakeSnapshot() const;
+
   // Audits the sharding layout: shard count and per-shard options (sizes,
   // derived seeds, policy, backing) against options_, no shard caught
   // mid-expansion, the delta registry's ownership link, and every shard

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -219,15 +220,17 @@ void DeltaLogWriter::Close() {
 
 StatusOr<DeltaLogWriter> DeltaLogWriter::Create(
     const std::string& path, uint64_t generation,
-    wire::ByteSpan empty_filter_frame, bool sync_each_append) {
-  const int fd = ::open(path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
+    wire::ByteSpan empty_filter_frame, bool sync_each_append,
+    wire::ByteSpan records) {
+  const int fd = ::open(path.c_str(), O_CREAT | O_EXCL | O_RDWR, 0644);
   if (fd < 0) return Status::DataLoss(Errno("create WAL", path));
   DeltaLogWriter writer;
   writer.fd_ = fd;
   writer.path_ = path;
   writer.sync_each_append_ = sync_each_append;
-  Status status = writer.Append(EncodeWalHeader(generation,
-                                                empty_filter_frame));
+  std::vector<uint8_t> head = EncodeWalHeader(generation, empty_filter_frame);
+  head.insert(head.end(), records.begin(), records.end());
+  Status status = writer.Write(head);
   if (!status.ok()) return status;
   // The header must be durable before any record claims to be: a log whose
   // records survive but whose header was lost is unreadable.
@@ -239,7 +242,7 @@ StatusOr<DeltaLogWriter> DeltaLogWriter::Create(
 StatusOr<DeltaLogWriter> DeltaLogWriter::Resume(const std::string& path,
                                                 uint64_t resume_offset,
                                                 bool sync_each_append) {
-  const int fd = ::open(path.c_str(), O_WRONLY, 0644);
+  const int fd = ::open(path.c_str(), O_RDWR, 0644);
   if (fd < 0) return Status::DataLoss(Errno("open WAL", path));
   // Drop any torn tail so the next append starts at the last valid byte —
   // otherwise the garbage would mask the new records from a later scan.
@@ -272,6 +275,13 @@ StatusOr<DeltaLogWriter> DeltaLogWriter::Resume(const std::string& path,
 }
 
 Status DeltaLogWriter::Append(const std::vector<uint8_t>& frame) {
+  Status status = Write(frame);
+  if (!status.ok()) return status;
+  if (sync_each_append_) return Sync();
+  return Status::Ok();
+}
+
+Status DeltaLogWriter::Write(wire::ByteSpan frame) {
   if (fd_ < 0) return Status::FailedPrecondition("WAL writer is closed");
   if (wedged_) {
     return Status::FailedPrecondition(
@@ -303,7 +313,21 @@ Status DeltaLogWriter::Append(const std::vector<uint8_t>& frame) {
                             path_);
   }
   offset_ += written;
-  if (sync_each_append_) return Sync();
+  return Status::Ok();
+}
+
+Status DeltaLogWriter::ReadFrom(uint64_t offset,
+                                std::vector<uint8_t>* out) const {
+  if (fd_ < 0) return Status::FailedPrecondition("WAL writer is closed");
+  out->resize(static_cast<size_t>(offset_ - std::min(offset, offset_)));
+  size_t got = 0;
+  while (got < out->size()) {
+    const ssize_t n = ::pread(fd_, out->data() + got, out->size() - got,
+                              static_cast<off_t>(offset + got));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return Status::DataLoss(Errno("read back WAL", path_));
+    got += static_cast<size_t>(n);
+  }
   return Status::Ok();
 }
 

@@ -32,6 +32,10 @@ namespace io {
 //
 // Sequences increase by one per record within a log; the scanner treats a
 // sequence discontinuity like any other malformed record — end of log.
+// Across a store's logs they keep increasing, except that a log may begin
+// with a verbatim copy of its predecessor's last records (see
+// io/durable_store.h) and a seal carries the sequence of the record after
+// it.
 //
 // The scanner's contract is the paranoid half of the design: a torn,
 // short, or bit-flipped record at the TAIL of the log is a normal crash
@@ -128,11 +132,15 @@ class DeltaLogWriter {
   DeltaLogWriter(DeltaLogWriter&& other) noexcept;
   DeltaLogWriter& operator=(DeltaLogWriter&& other) noexcept;
 
-  // Creates `path` (failing if it exists) and writes the header frame.
+  // Creates `path` (failing if it exists) and writes the header frame,
+  // followed by `records` — already-sealed record frames, copied verbatim
+  // (a checkpoint carries the old log's uncovered tail over this way) —
+  // then syncs once.
   static StatusOr<DeltaLogWriter> Create(const std::string& path,
                                          uint64_t generation,
                                          wire::ByteSpan empty_filter_frame,
-                                         bool sync_each_append);
+                                         bool sync_each_append,
+                                         wire::ByteSpan records = {});
 
   // Opens an existing log for appending at `resume_offset` (the scanner's
   // valid_bytes); bytes beyond it — a torn tail — are truncated away. A
@@ -150,6 +158,10 @@ class DeltaLogWriter {
   // Forces written bytes to storage.
   Status Sync();
 
+  // Reads back the bytes this writer has written from `offset` to its
+  // current end.
+  Status ReadFrom(uint64_t offset, std::vector<uint8_t>* out) const;
+
   [[nodiscard]] bool open() const noexcept { return fd_ >= 0; }
   // Whether an append or a tail truncation happened since the last
   // successful Sync.
@@ -160,6 +172,10 @@ class DeltaLogWriter {
   void Close();
 
  private:
+  // Writes `bytes` at the end of the file with the short-write crash point
+  // armed; no sync.
+  Status Write(wire::ByteSpan bytes);
+
   int fd_ = -1;
   uint64_t offset_ = 0;
   bool sync_each_append_ = false;

@@ -150,6 +150,21 @@ void ApplyRecord(ConcurrentSbf& filter, const io::WalRecord& record) {
   }
 }
 
+// The sequence the record after `record` carries. A checkpoint seal is
+// stamped with the sequence of the record that follows it and consumes
+// none, because the new log continues from the same sequence.
+uint64_t SequenceAfter(const io::WalRecord& record) {
+  return record.type == io::WalRecordType::kCheckpointSeal
+             ? record.sequence
+             : record.sequence + 1;
+}
+
+double MillisSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
 struct ScannedWal {
   std::vector<uint8_t> bytes;  // backing storage for scan's header span
   io::LogScan scan;
@@ -178,12 +193,13 @@ const char* RecoveryVerdictName(RecoveryVerdict verdict) {
 }
 
 std::string DurabilityStats::ToString() const {
-  char buf[256];
+  char buf[384];
   std::snprintf(
       buf, sizeof(buf),
       "durability: recovery=%s torn_tail=%d quarantined=%u replayed=%llu "
       "gen=%llu wal_bytes=%llu appended=%llu checkpoints=%llu retries=%llu "
-      "failures=%llu age=%.3fs wedged=%d",
+      "failures=%llu age=%.3fs blocked=%.1fms last_checkpoint=%.1fms "
+      "wedged=%d",
       RecoveryVerdictName(recovery), recovered_torn_tail ? 1 : 0,
       quarantined_checkpoints,
       static_cast<unsigned long long>(replayed_records),
@@ -193,7 +209,8 @@ std::string DurabilityStats::ToString() const {
       static_cast<unsigned long long>(checkpoints_written),
       static_cast<unsigned long long>(checkpoint_retries),
       static_cast<unsigned long long>(checkpoint_failures),
-      checkpoint_age_seconds, wedged ? 1 : 0);
+      checkpoint_age_seconds, checkpoint_blocked_ms, last_checkpoint_ms,
+      wedged ? 1 : 0);
   std::string out(buf);
   if (!last_error.empty()) out += " last_error=\"" + last_error + "\"";
   return out;
@@ -352,9 +369,12 @@ StatusOr<RecoveryOutcome> RecoverStore(
 
   // Replay the surviving suffix in generation order. A log-only rebuild
   // may have based itself above a scannable log whose embedded filter was
-  // unusable; such logs are skipped.
+  // unusable; such logs are skipped. A log may begin with a verbatim copy
+  // of the records its predecessor gained after a checkpoint's cut;
+  // sequences increase across logs, so a record below the next expected
+  // sequence was replayed already and is skipped.
   uint64_t replayed = 0;
-  uint64_t max_sequence = 0;
+  uint64_t next_sequence = 0;  // 0 until a record is seen
   for (auto& [g, sw] : scans) {
     if (!sw.ok || g < replay_from) continue;
     if (sw.scan.torn_tail) {
@@ -364,9 +384,23 @@ StatusOr<RecoveryOutcome> RecoverStore(
                 std::to_string(sw.scan.ignored_bytes) + " bytes dropped); ";
     }
     for (const io::WalRecord& record : sw.scan.records) {
+      if (record.sequence < next_sequence) continue;
       ApplyRecord(*base, record);
       ++replayed;
-      max_sequence = std::max(max_sequence, record.sequence);
+      next_sequence = SequenceAfter(record);
+    }
+  }
+  // Nothing to replay (the logs hold only headers): continue the sequence
+  // from the newest earlier log that has a record, so that a later replay
+  // across both logs does not skip the new records as already seen. Such a
+  // log is read only for its sequence; damage to it changes nothing.
+  for (uint64_t g = replay_from; next_sequence == 0 && g > 0; --g) {
+    std::vector<uint8_t> bytes;
+    if (!io::ReadFileBytes(WalPath(dir, g - 1), &bytes).ok()) break;
+    auto scan = io::ScanLog(bytes);
+    if (!scan.ok()) break;
+    if (!scan.value().records.empty()) {
+      next_sequence = SequenceAfter(scan.value().records.back());
     }
   }
 
@@ -380,8 +414,9 @@ StatusOr<RecoveryOutcome> RecoverStore(
   out.quarantined = quarantined;
   out.torn_tail = torn;
   out.replayed_records = replayed;
-  out.next_sequence = max_sequence + 1;
+  out.next_sequence = std::max<uint64_t>(next_sequence, 1);
   out.resume_generation = resume_gen;
+  out.base_generation = replay_from;
   const auto resume_it = scans.find(resume_gen);
   if (resume_it != scans.end() && resume_it->second.ok) {
     out.resume_wal_exists = true;
@@ -402,7 +437,8 @@ DurableSbf::DurableSbf(DurableOptions options, RecoveryOutcome outcome)
       filter_(std::move(outcome.filter)),
       generation_(outcome.resume_generation),
       next_sequence_(outcome.next_sequence),
-      last_checkpoint_(std::chrono::steady_clock::now()) {
+      last_checkpoint_(std::chrono::steady_clock::now()),
+      last_checkpoint_gen_(outcome.base_generation) {
   stats_.recovery = outcome.verdict;
   stats_.recovered_torn_tail = outcome.torn_tail;
   stats_.quarantined_checkpoints = outcome.quarantined;
@@ -419,6 +455,7 @@ StatusOr<std::unique_ptr<DurableSbf>> DurableSbf::Open(const std::string& dir,
   if (!recovered.ok()) return recovered.status();
   RecoveryOutcome outcome = std::move(recovered).value();
   const bool resume = outcome.resume_wal_exists;
+  const bool fresh = outcome.verdict == RecoveryVerdict::kFreshStart;
   const uint64_t resume_gen = outcome.resume_generation;
   const uint64_t resume_bytes = outcome.resume_wal_valid_bytes;
 
@@ -426,13 +463,17 @@ StatusOr<std::unique_ptr<DurableSbf>> DurableSbf::Open(const std::string& dir,
       new DurableSbf(std::move(options), std::move(outcome)));
   store->dir_ = dir;
 
+  // A new log's header embeds the empty filter. A fresh store's filter is
+  // that empty filter, so it is serialized as it stands.
   const std::string wal_path = WalPath(dir, resume_gen);
   auto writer =
       resume ? io::DeltaLogWriter::Resume(wal_path, resume_bytes,
                                           store->options_.sync_each_append)
-             : io::DeltaLogWriter::Create(wal_path, resume_gen,
-                                          store->EmptyFilterFrame(),
-                                          store->options_.sync_each_append);
+             : io::DeltaLogWriter::Create(
+                   wal_path, resume_gen,
+                   fresh ? store->filter_.Serialize()
+                         : store->EmptyFilterFrame(),
+                   store->options_.sync_each_append);
   if (!writer.ok()) return writer.status();
   {
     // No other thread can reference the store yet, but installing the log
@@ -469,7 +510,19 @@ DurableSbf::~DurableSbf() {
 }
 
 std::vector<uint8_t> DurableSbf::EmptyFilterFrame() const {
-  return ConcurrentSbf(filter_.options()).Serialize();
+  // The bytes ConcurrentSbf(options).Serialize() writes, without building
+  // (and then copying) a whole sharded filter first.
+  ConcurrentSbf::Snapshot empty{filter_.options(), {}};
+  for (uint32_t i = 0; i < empty.options.num_shards; ++i) {
+    empty.shards.emplace_back(ShardOptions(empty.options, i));
+  }
+  return empty.Encode();
+}
+
+void DurableSbf::Wedge(const std::string& why) {
+  wedged_ = true;
+  stats_.wedged = true;
+  stats_.last_error = why;
 }
 
 Status DurableSbf::Insert(uint64_t key, uint64_t count) {
@@ -503,9 +556,7 @@ Status DurableSbf::AppendAndApply(bool is_remove, uint64_t count,
   if (!append.ok()) {
     // The record may be partially on disk; recovery's torn-tail rule
     // discards it, matching the NOT-acknowledged contract.
-    wedged_ = true;
-    stats_.wedged = true;
-    stats_.last_error = append.message();
+    Wedge(append.message());
     return append;
   }
   ++next_sequence_;
@@ -529,33 +580,90 @@ Status DurableSbf::AppendAndApply(bool is_remove, uint64_t count,
   return Status::Ok();
 }
 
+// Three phases, so appends stall only for the first and the last:
+//  1. Under log_mu_: flush, copy the shards, and note the cut — the size
+//     of wal-G, every record of which the copy holds.
+//  2. No lock (checkpoint_mu_ still serializes checkpoints): encode the
+//     copy and write + fsync checkpoint-(G+1).sbf.tmp.
+//  3. Under log_mu_: rotate (RotateLocked).
 Status DurableSbf::CheckpointOnce() {
-  util::MutexLock lock(log_mu_);
+  const auto start = std::chrono::steady_clock::now();
+  std::optional<ConcurrentSbf::Snapshot> snapshot;
+  uint64_t cut = 0;
+  uint64_t next_gen = 0;
+  {
+    util::MutexLock lock(log_mu_);
+    const auto held = std::chrono::steady_clock::now();
+    if (wedged_) {
+      return Status::FailedPrecondition(
+          "durable store is wedged (" + stats_.last_error + ")");
+    }
+    snapshot.emplace(filter_.TakeSnapshot());
+    cut = wal_.bytes_written();
+    next_gen = generation_ + 1;
+    stats_.checkpoint_blocked_ms += MillisSince(held);
+  }
+
+  const std::string tmp_path = CheckpointPath(dir_, next_gen) + ".tmp";
+  Status write = WriteFileWithCrashPoints(tmp_path, snapshot->Encode());
+  snapshot.reset();
+  if (!write.ok()) return write;  // *.tmp garbage; recovery deletes it
+  if (empty_frame_.empty()) empty_frame_ = EmptyFilterFrame();
+
+  Status rotated = Status::Ok();
+  {
+    util::MutexLock lock(log_mu_);
+    const auto locked = std::chrono::steady_clock::now();
+    rotated = RotateLocked(cut, tmp_path);
+    stats_.checkpoint_blocked_ms += MillisSince(locked);
+    if (rotated.ok()) stats_.last_checkpoint_ms = MillisSince(start);
+  }
+  if (!rotated.ok()) return rotated;
+
+  // Retention: keep everything from the older of the last two renamed
+  // checkpoints on, so falling back from a damaged checkpoint-(G+1) finds
+  // the previous checkpoint and every log after it.
+  DeleteGenerationsBelow(last_checkpoint_gen_);
+  last_checkpoint_gen_ = next_gen;
+  return Status::Ok();
+}
+
+Status DurableSbf::RotateLocked(uint64_t cut, const std::string& tmp_path) {
   if (wedged_) {
     return Status::FailedPrecondition(
         "durable store is wedged (" + stats_.last_error + ")");
   }
-  // Appends are blocked for the whole protocol (we hold log_mu_), so
-  // checkpoint-G cleanly captures every record of wal-(G-1) and earlier —
-  // the partition invariant recovery's generation math depends on.
-  filter_.Flush();
-  const std::vector<uint8_t> snapshot = filter_.Serialize();
   const uint64_t next_gen = generation_ + 1;
   const std::string final_path = CheckpointPath(dir_, next_gen);
-  const std::string tmp_path = final_path + ".tmp";
+  const std::string wal_path = WalPath(dir_, next_gen);
 
-  Status write = WriteFileWithCrashPoints(tmp_path, snapshot);
-  if (!write.ok()) return write;  // *.tmp garbage; recovery deletes it
-
+  // wal-(G+1) starts with the records appended since the cut, copied with
+  // their sequences, and is durable before the checkpoint becomes visible:
+  // a checkpoint must never exist without a log that holds what it lacks.
+  std::vector<uint8_t> tail;
+  Status read = wal_.ReadFrom(cut, &tail);
+  if (!read.ok()) return read;
+  auto next_wal = io::DeltaLogWriter::Create(
+      wal_path, next_gen, empty_frame_, options_.sync_each_append, tail);
+  // Until the rename, a failure leaves generation G in force; removing the
+  // new log keeps the next attempt (and a reopen) at generation G.
+  if (!next_wal.ok()) {
+    ::unlink(wal_path.c_str());
+    return next_wal.status();
+  }
   if (fault::ShouldFailBeforeRename()) {
-    // Crash point: the finished tmp never becomes visible. Nothing durable
-    // changed, so the store is NOT wedged — a retry is safe and recovery
-    // would simply ignore the tmp.
+    // Crash point: the finished tmp never becomes visible and the new log
+    // is removed again. Nothing durable changed, so the store is NOT
+    // wedged — a retry is safe and recovery would simply ignore the tmp.
+    ::unlink(wal_path.c_str());
     return Status::DataLoss("injected crash before checkpoint rename of " +
                             tmp_path);
   }
   if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    return Status::DataLoss(Errno("rename checkpoint", final_path));
+    const Status status =
+        Status::DataLoss(Errno("rename checkpoint", final_path));
+    ::unlink(wal_path.c_str());
+    return status;
   }
   Status dir_sync = FsyncDir(dir_);
   const bool post_rename_crash = fault::ShouldFailAfterRename();
@@ -565,51 +673,34 @@ Status DurableSbf::CheckpointOnce() {
     // acked state where recovery (which replays from the NEWEST
     // checkpoint) never looks, so the store wedges; reopening the
     // directory resumes cleanly at generation G+1.
-    wedged_ = true;
-    stats_.wedged = true;
-    stats_.last_error = post_rename_crash
-                            ? "injected crash after checkpoint rename of " +
-                                  final_path
-                            : dir_sync.message();
+    Wedge(post_rename_crash
+              ? "injected crash after checkpoint rename of " + final_path
+              : dir_sync.message());
     return Status::DataLoss(stats_.last_error);
   }
 
   // Seal the old log (diagnostic breadcrumb; the checkpoint already
-  // supersedes it, so a failed seal append is not fatal) and rotate.
-  Status seal =
-      wal_.Append(io::EncodeWalCheckpointSeal(next_sequence_, next_gen));
-  if (seal.ok()) ++next_sequence_;
-  wal_.Close();
-
-  auto next_wal =
-      io::DeltaLogWriter::Create(WalPath(dir_, next_gen), next_gen,
-                                 EmptyFilterFrame(),
-                                 options_.sync_each_append);
-  if (!next_wal.ok()) {
-    // The new checkpoint is live but there is no log to append to — same
-    // wedge rationale as the post-rename crash.
-    wedged_ = true;
-    stats_.wedged = true;
-    stats_.last_error = next_wal.status().message();
-    return next_wal.status();
-  }
+  // supersedes it, so a failed seal append is not fatal) and rotate. The
+  // seal takes no sequence of its own: wal-(G+1) goes on from it.
+  (void)wal_.Append(io::EncodeWalCheckpointSeal(next_sequence_, next_gen));
   wal_ = std::move(next_wal).value();
   generation_ = next_gen;
-
-  // Retention: current + previous generation. Generation G-1 was only
-  // needed while checkpoint G could still be quarantined; now that G+1
-  // exists, drop it.
-  if (next_gen >= 2) {
-    const uint64_t dead = next_gen - 2;
-    ::unlink(CheckpointPath(dir_, dead).c_str());
-    ::unlink(WalPath(dir_, dead).c_str());
-  }
-
   stats_.wal_bytes = wal_.bytes_written();
   stats_.generation = next_gen;
   ++stats_.checkpoints_written;
   last_checkpoint_ = std::chrono::steady_clock::now();
   return Status::Ok();
+}
+
+void DurableSbf::DeleteGenerationsBelow(uint64_t floor) {
+  auto listed = ListStore(dir_);
+  if (!listed.ok()) return;  // retention is best effort
+  for (const uint64_t g : listed.value().checkpoints) {
+    if (g < floor) ::unlink(CheckpointPath(dir_, g).c_str());
+  }
+  for (const uint64_t g : listed.value().wals) {
+    if (g < floor) ::unlink(WalPath(dir_, g).c_str());
+  }
 }
 
 Status DurableSbf::CheckpointWithRetries() {
@@ -658,11 +749,7 @@ Status DurableSbf::SyncLog() {
         "durable store is wedged (" + stats_.last_error + ")");
   }
   Status status = wal_.Sync();
-  if (!status.ok()) {
-    wedged_ = true;
-    stats_.wedged = true;
-    stats_.last_error = status.message();
-  }
+  if (!status.ok()) Wedge(status.message());
   return status;
 }
 
@@ -688,9 +775,8 @@ void DurableSbf::CheckpointerLoop() {
                           ? std::chrono::milliseconds(
                                 options_.checkpoint_interval_ms)
                           : std::chrono::milliseconds(200);
-    bool size_hit = false;
     {
-      // Predicate-free wait (see CheckpointWithRetries): the triggers are
+      // Predicate-free wait (see CheckpointWithRetries): the flags are
       // read under the lock before sleeping and re-read after. A spurious
       // wakeup just runs one cheap trigger evaluation and loops back.
       util::MutexLock wake(cp_wake_mu_);
@@ -698,25 +784,25 @@ void DurableSbf::CheckpointerLoop() {
         cp_wake_.wait_for(wake.native(), wait);
       }
       if (stop_) return;
-      size_hit = size_trigger_;
       size_trigger_ = false;
     }
-    bool interval_hit = false;
+    bool due = false;
     {
+      // The size flag only wakes this thread. Appends to the old log set it
+      // again while a checkpoint runs, so the trigger is decided from the
+      // current log's size alone.
       util::MutexLock lock(log_mu_);
+      if (wedged_) return;  // nothing further to do; mutations are dead
       if (options_.checkpoint_interval_ms > 0) {
-        interval_hit = std::chrono::steady_clock::now() - last_checkpoint_ >=
-                       std::chrono::milliseconds(
-                           options_.checkpoint_interval_ms);
+        due = std::chrono::steady_clock::now() - last_checkpoint_ >=
+              std::chrono::milliseconds(options_.checkpoint_interval_ms);
       }
-      // Re-check the size trigger directly in case the notify was missed.
       if (options_.checkpoint_log_bytes > 0 &&
           stats_.wal_bytes >= options_.checkpoint_log_bytes) {
-        size_hit = true;
+        due = true;
       }
-      if (wedged_) return;  // nothing further to do; mutations are dead
     }
-    if (!interval_hit && !size_hit) continue;
+    if (!due) continue;
     util::MutexLock serialize(checkpoint_mu_);
     (void)CheckpointWithRetries();  // failures land in stats_.last_error
   }

@@ -29,12 +29,16 @@ namespace sbf {
 //  * A checkpoint is only ever visible under its final name via
 //    temp-file + atomic rename; a crash mid-write leaves only a *.tmp
 //    that recovery deletes.
-//  * checkpoint-G captures every record of wal-(G-1) and earlier: appends
-//    are blocked for the duration of the checkpoint protocol, so the
-//    record stream is cleanly partitioned by generation.
-//  * Two generations are retained (current and previous). Falling back
-//    from a quarantined checkpoint-G to checkpoint-(G-1) therefore always
-//    finds wal-(G-1) + wal-G to replay, reconstructing the same state.
+//  * checkpoint-G captures every record of wal-(G-1) up to a cut taken
+//    under the log mutex; wal-G begins with a verbatim copy of the
+//    records wal-(G-1) gained after that cut (appends keep running while
+//    the checkpoint is encoded and written). Record sequences increase
+//    across generations, so a replay that reads both logs skips every
+//    record whose sequence it has already passed.
+//  * Retention keeps every file from the older of the last two renamed
+//    checkpoints on. Falling back from a quarantined checkpoint therefore
+//    always finds the previous checkpoint and every log after it, even
+//    across a generation a crash left without a checkpoint.
 //  * wal-0 embeds (like every log header) an empty filter with the
 //    store's full configuration, so a store that never checkpointed — or
 //    whose checkpoints were all quarantined — rebuilds from logs alone.
@@ -75,6 +79,10 @@ struct DurabilityStats {
   bool wedged = false;  // an injected/real crash point left the store
                         // read-only; recover by reopening the directory
   std::string last_error;
+  // Time checkpoints held the log mutex (so stalled appends), summed since
+  // Open(), and the wall time of the last successful checkpoint.
+  double checkpoint_blocked_ms = 0.0;
+  double last_checkpoint_ms = 0.0;
 
   // One-line human-readable rendering for tools and logs.
   std::string ToString() const;
@@ -120,6 +128,9 @@ struct RecoveryOutcome {
   bool resume_wal_exists = false;
   uint64_t resume_wal_valid_bytes = 0;
   uint64_t next_sequence = 1;
+  // Generation of the checkpoint (or, in a log-only rebuild, of the log)
+  // the state was rebuilt from; 0 for a fresh store.
+  uint64_t base_generation = 0;
   std::string detail;  // human-readable recovery notes
 };
 
@@ -157,9 +168,10 @@ std::string WalPath(const std::string& dir, uint64_t generation);
 //
 // Lock hierarchy (DESIGN.md §11, enforced by the thread-safety
 // annotations below): checkpoint_mu_ -> log_mu_ -> cp_wake_mu_. The
-// checkpoint mutex serializes whole checkpoint protocols and protects no
-// data; the log mutex guards every mutable log/stats field; the wake
-// mutex is a leaf guarding only the checkpointer wake flags.
+// checkpoint mutex serializes whole checkpoint protocols and guards only
+// state that checkpoints alone touch; the log mutex guards every mutable
+// log/stats field; the wake mutex is a leaf guarding only the
+// checkpointer wake flags.
 class DurableSbf {
  public:
   // Opens (recovering) or initializes (creating) the store at `dir`.
@@ -213,8 +225,16 @@ class DurableSbf {
   // One acked mutation: seal a record, append it, apply it to the filter.
   Status AppendAndApply(bool is_remove, uint64_t count, const uint64_t* keys,
                         size_t n) SBF_EXCLUDES(log_mu_, cp_wake_mu_);
-  // One checkpoint attempt (no retries).
+  // One checkpoint attempt (no retries). Holds log_mu_ only to take the
+  // snapshot and to rotate the log; encoding and writing the checkpoint
+  // run while appends continue.
   Status CheckpointOnce() SBF_REQUIRES(checkpoint_mu_) SBF_EXCLUDES(log_mu_);
+  // Phase 3 of CheckpointOnce: creates wal-(G+1) holding wal-G's records
+  // past `cut`, renames the checkpoint into place and swaps logs.
+  Status RotateLocked(uint64_t cut, const std::string& tmp_path)
+      SBF_REQUIRES(checkpoint_mu_, log_mu_);
+  // Deletes every checkpoint and log below `floor`.
+  void DeleteGenerationsBelow(uint64_t floor) SBF_REQUIRES(checkpoint_mu_);
   // Attempt + retries with exponential backoff.
   Status CheckpointWithRetries() SBF_REQUIRES(checkpoint_mu_)
       SBF_EXCLUDES(log_mu_, cp_wake_mu_);
@@ -223,6 +243,8 @@ class DurableSbf {
   // Serialized empty filter with the store's configuration (each new log's
   // header embeds it).
   std::vector<uint8_t> EmptyFilterFrame() const;
+  // Makes the store read-only after a crash point; reopening recovers.
+  void Wedge(const std::string& why) SBF_REQUIRES(log_mu_);
 
   DurableOptions options_;
   std::string dir_;
@@ -238,10 +260,15 @@ class DurableSbf {
   std::chrono::steady_clock::time_point last_checkpoint_
       SBF_GUARDED_BY(log_mu_);
 
-  // Checkpointer serialization (manual + background callers). Protects no
-  // data — it makes a whole checkpoint protocol (which takes and drops
-  // log_mu_ internally) one critical section.
+  // Checkpointer serialization (manual + background callers): makes a
+  // whole checkpoint protocol (which takes and drops log_mu_ internally)
+  // one critical section.
   util::Mutex checkpoint_mu_;
+  // EmptyFilterFrame(), built at the first rotation and kept for the next.
+  std::vector<uint8_t> empty_frame_ SBF_GUARDED_BY(checkpoint_mu_);
+  // Generation of the newest checkpoint that reached its rename (or the
+  // recovery base); retention deletes only below the one before it.
+  uint64_t last_checkpoint_gen_ SBF_GUARDED_BY(checkpoint_mu_) = 0;
 
   // Background thread lifecycle. cp_wake_mu_ is a leaf: nothing is ever
   // acquired while it is held.

@@ -19,9 +19,11 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/concurrent_sbf.h"
@@ -762,6 +764,261 @@ TEST_F(CrashRecoveryTest, BackgroundCheckpointerFiresOnLogSize) {
   StorePtr reopened = MustOpen(dir.path(), s.options);
   ASSERT_NE(reopened, nullptr);
   s.ExpectMatches(*reopened, "background checkpointer");
+}
+
+// Appends that land in the old log while a checkpoint runs used to re-arm
+// the size trigger, so every real checkpoint was followed by one of a log
+// holding only its header. One burst crosses the threshold once, so exactly
+// one checkpoint may follow.
+TEST_F(CrashRecoveryTest, BackgroundCheckpointerDoesNotCheckpointAnEmptyLog) {
+  ScopedStoreDir dir;
+  Scenario s(CounterBacking::kCompact);
+  s.options.background_checkpointer = true;
+  s.options.checkpoint_log_bytes = 4096;
+  StorePtr store = MustOpen(dir.path(), s.options);
+  ASSERT_NE(store, nullptr);
+  // Single-key records are 40 bytes: the burst crosses 4096 bytes of
+  // records once and stays below twice that.
+  for (uint64_t key = 0; key < 150; ++key) {
+    ASSERT_TRUE(store->Insert(key, 1).ok());
+  }
+  for (int spin = 0; spin < 500; ++spin) {
+    if (store->Stats().checkpoints_written > 0) break;
+    ::usleep(10 * 1000);
+  }
+  ::usleep(2 * 200 * 1000);  // two of the checkpointer's wait periods
+  const DurabilityStats stats = store->Stats();
+  EXPECT_EQ(stats.checkpoints_written, 1u) << stats.ToString();
+  EXPECT_GT(stats.last_checkpoint_ms, 0.0);
+  EXPECT_LE(stats.checkpoint_blocked_ms, stats.last_checkpoint_ms);
+}
+
+// A rotated log's header embeds the same empty-filter frame a fresh
+// sharded filter serializes to, for every backing.
+TEST_F(CrashRecoveryTest, RotatedLogHeaderEmbedsTheEmptyFilter) {
+  for (const CounterBacking backing : kBackings) {
+    ScopedStoreDir dir;
+    Scenario s(backing);
+    {
+      StorePtr store = MustOpen(dir.path(), s.options);
+      ASSERT_NE(store, nullptr);
+      ASSERT_TRUE(store->Insert(9, 2).ok());
+      ASSERT_TRUE(store->Checkpoint().ok());
+    }
+    const std::vector<uint8_t> expected =
+        ConcurrentSbf(s.options.filter).Serialize();
+    for (const uint64_t g : {0, 1}) {
+      std::vector<uint8_t> bytes;
+      ASSERT_TRUE(io::ReadFileBytes(WalPath(dir.path(), g), &bytes).ok());
+      auto scan = io::ScanLog(bytes);
+      ASSERT_TRUE(scan.ok()) << scan.status().message();
+      const wire::ByteSpan frame = scan.value().header.empty_filter_frame;
+      EXPECT_EQ(std::vector<uint8_t>(frame.begin(), frame.end()), expected)
+          << BackingName(backing) << " wal-" << g;
+    }
+  }
+}
+
+// --- the copied tail: crash between the new log and the rename -------------
+
+// Re-encodes delta `records` (sequences included) exactly as the store
+// wrote them.
+std::vector<uint8_t> EncodeRecords(const std::vector<io::WalRecord>& records) {
+  std::vector<uint8_t> out;
+  for (const io::WalRecord& r : records) {
+    const std::vector<uint8_t> frame = io::EncodeWalDeltaBatch(
+        r.sequence, r.is_remove, r.count, r.keys.data(), r.keys.size());
+    out.insert(out.end(), frame.begin(), frame.end());
+  }
+  return out;
+}
+
+// checkpoint-1 + wal-1 + a hand-built wal-2 that begins with a copy of
+// wal-1's last two records: what a crash after the checkpoint protocol
+// created wal-2 but before it renamed checkpoint-2 leaves behind.
+void BuildGapStore(const std::string& dir, Scenario& s) {
+  {
+    StorePtr store = MustOpen(dir, s.options);
+    ASSERT_NE(store, nullptr);
+    const auto a = KeyRange(0, 90);
+    ASSERT_TRUE(store->InsertBatch(a.data(), a.size(), 1).ok());
+    s.Ack(false, a, 1);
+    ASSERT_TRUE(store->Checkpoint().ok());
+    for (uint64_t i = 0; i < 3; ++i) {
+      const auto b = KeyRange(90 + 40 * i, 40);
+      ASSERT_TRUE(store->InsertBatch(b.data(), b.size(), i + 1).ok());
+      s.Ack(false, b, i + 1);
+    }
+    ASSERT_TRUE(store->Remove(3, 1).ok());
+    s.Ack(true, {3}, 1);
+  }
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(io::ReadFileBytes(WalPath(dir, 1), &bytes).ok());
+  auto scan = io::ScanLog(bytes);
+  ASSERT_TRUE(scan.ok()) << scan.status().message();
+  const std::vector<io::WalRecord>& records = scan.value().records;
+  ASSERT_EQ(records.size(), 4u);
+  const std::vector<io::WalRecord> tail(records.end() - 2, records.end());
+  auto wal2 = io::DeltaLogWriter::Create(
+      WalPath(dir, 2), 2, ConcurrentSbf(s.options.filter).Serialize(), false,
+      EncodeRecords(tail));
+  ASSERT_TRUE(wal2.ok()) << wal2.status().message();
+}
+
+TEST_F(CrashRecoveryTest, CopiedTailReplaysOnce) {
+  for (const CounterBacking backing : kBackings) {
+    ScopedStoreDir dir;
+    Scenario s(backing);
+    BuildGapStore(dir.path(), s);
+    {
+      StorePtr reopened = MustOpen(dir.path(), s.options);
+      ASSERT_NE(reopened, nullptr);
+      const DurabilityStats stats = reopened->Stats();
+      EXPECT_EQ(stats.recovery, RecoveryVerdict::kClean);
+      EXPECT_EQ(reopened->generation(), 2u);
+      // wal-1's four records; wal-2's two copies are skipped.
+      EXPECT_EQ(stats.replayed_records, 4u);
+      s.ExpectMatches(*reopened, "copied tail");
+      // Appends go on from the copied records' sequences.
+      ASSERT_TRUE(reopened->Insert(555, 2).ok());
+      s.Ack(false, {555}, 2);
+    }
+    StorePtr again = MustOpen(dir.path(), s.options);
+    ASSERT_NE(again, nullptr);
+    EXPECT_EQ(again->Stats().recovery, RecoveryVerdict::kClean);
+    s.ExpectMatches(*again, "copied tail, appended");
+  }
+}
+
+// Generation 2 has no checkpoint. Retention must keep checkpoint-1 after
+// checkpoint-3 lands, so damage to checkpoint-3 still falls back to a
+// checkpoint instead of rebuilding from a log's empty filter.
+TEST_F(CrashRecoveryTest, GenerationGapKeepsTheFallbackCheckpoint) {
+  for (const CounterBacking backing : kBackings) {
+    ScopedStoreDir dir;
+    Scenario s(backing);
+    BuildGapStore(dir.path(), s);
+    {
+      StorePtr store = MustOpen(dir.path(), s.options);
+      ASSERT_NE(store, nullptr);
+      const auto e = KeyRange(300, 30);
+      ASSERT_TRUE(store->InsertBatch(e.data(), e.size(), 2).ok());
+      s.Ack(false, e, 2);
+      ASSERT_TRUE(store->Checkpoint().ok());
+      EXPECT_EQ(store->generation(), 3u);
+      const auto f = KeyRange(330, 20);
+      ASSERT_TRUE(store->InsertBatch(f.data(), f.size(), 1).ok());
+      s.Ack(false, f, 1);
+    }
+    EXPECT_EQ(::access(CheckpointPath(dir.path(), 1).c_str(), F_OK), 0);
+    FlipBitAt(CheckpointPath(dir.path(), 3), -8);
+    StorePtr reopened = MustOpen(dir.path(), s.options);
+    ASSERT_NE(reopened, nullptr);
+    const DurabilityStats stats = reopened->Stats();
+    EXPECT_EQ(stats.recovery, RecoveryVerdict::kQuarantined);
+    EXPECT_EQ(stats.quarantined_checkpoints, 1u);
+    EXPECT_EQ(reopened->generation(), 3u);
+    s.ExpectMatches(*reopened, "fallback across a generation gap");
+  }
+}
+
+// A reopen whose live log holds only its header continues the sequence
+// from the log before it; restarting at 1 would make a later fallback
+// replay skip the new records as copies.
+TEST_F(CrashRecoveryTest, EmptyLiveLogContinuesTheSequence) {
+  ScopedStoreDir dir;
+  Scenario s(CounterBacking::kCompact);
+  {
+    StorePtr store = MustOpen(dir.path(), s.options);
+    ASSERT_NE(store, nullptr);
+    const auto a = KeyRange(0, 50);
+    ASSERT_TRUE(store->InsertBatch(a.data(), a.size(), 1).ok());
+    s.Ack(false, a, 1);
+    ASSERT_TRUE(store->Checkpoint().ok());
+    const auto b = KeyRange(50, 50);
+    ASSERT_TRUE(store->InsertBatch(b.data(), b.size(), 1).ok());
+    s.Ack(false, b, 1);
+    ASSERT_TRUE(store->Checkpoint().ok());
+  }
+  {
+    StorePtr store = MustOpen(dir.path(), s.options);
+    ASSERT_NE(store, nullptr);
+    const auto c = KeyRange(0, 100);
+    ASSERT_TRUE(store->InsertBatch(c.data(), c.size(), 1).ok());
+    s.Ack(false, c, 1);
+  }
+  FlipBitAt(CheckpointPath(dir.path(), 2), -8);
+  StorePtr reopened = MustOpen(dir.path(), s.options);
+  ASSERT_NE(reopened, nullptr);
+  EXPECT_EQ(reopened->Stats().recovery, RecoveryVerdict::kQuarantined);
+  s.ExpectMatches(*reopened, "fallback after an empty live log");
+}
+
+// --- checkpoints concurrent with appends ------------------------------------
+
+// One thread appends insert and remove batches while another checkpoints
+// in a loop. Every acked batch must survive a reopen exactly once: none
+// lost at a cut, none replayed twice from a copied tail.
+void RunConcurrentCheckpoints(CounterBacking backing, bool sync_each_append) {
+  ScopedStoreDir dir;
+  Scenario s(backing);
+  s.options.filter.m = 1 << 14;
+  s.reference = ConcurrentSbf(s.options.filter);
+  s.options.sync_each_append = sync_each_append;
+  const uint64_t batches = sync_each_append ? 300 : 3000;
+  std::atomic<bool> done{false};
+  uint64_t checkpoints = 0;
+  {
+    StorePtr store = MustOpen(dir.path(), s.options);
+    ASSERT_NE(store, nullptr);
+    std::thread checkpointer([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        const Status status = store->Checkpoint();
+        EXPECT_TRUE(status.ok()) << status.message();
+        if (!status.ok()) return;
+        ++checkpoints;
+      }
+    });
+    for (uint64_t b = 0; b < batches; ++b) {
+      // Every fifth batch removes one occurrence of the batch before it.
+      const bool remove = b % 5 == 4;
+      const auto keys = KeyRange(((remove ? b - 1 : b) * 7) % 380, 16);
+      if (remove) {
+        for (const uint64_t key : keys) {
+          const Status status = store->Remove(key, 1);
+          ASSERT_TRUE(status.ok()) << status.message();
+        }
+        s.Ack(true, keys, 1);
+      } else {
+        const uint64_t count = 1 + b % 3;
+        const Status status = store->InsertBatch(keys.data(), keys.size(),
+                                                 count);
+        ASSERT_TRUE(status.ok()) << status.message();
+        s.Ack(false, keys, count);
+      }
+    }
+    done.store(true, std::memory_order_release);
+    checkpointer.join();
+    EXPECT_GT(checkpoints, 0u);
+    s.ExpectMatches(*store, "live, concurrent checkpoints");
+  }
+  StorePtr reopened = MustOpen(dir.path(), s.options);
+  ASSERT_NE(reopened, nullptr);
+  EXPECT_EQ(reopened->Stats().recovery, RecoveryVerdict::kClean);
+  s.ExpectMatches(*reopened, "reopened, concurrent checkpoints");
+}
+
+TEST(DurableConcurrentCheckpoint, CompactUnsynced) {
+  RunConcurrentCheckpoints(CounterBacking::kCompact, false);
+}
+TEST(DurableConcurrentCheckpoint, CompactSyncEachAppend) {
+  RunConcurrentCheckpoints(CounterBacking::kCompact, true);
+}
+TEST(DurableConcurrentCheckpoint, Fixed64Unsynced) {
+  RunConcurrentCheckpoints(CounterBacking::kFixed64, false);
+}
+TEST(DurableConcurrentCheckpoint, Fixed64SyncEachAppend) {
+  RunConcurrentCheckpoints(CounterBacking::kFixed64, true);
 }
 
 // --- stats rendering --------------------------------------------------------
